@@ -391,8 +391,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--continuous-batching",
         action="store_true",
-        help="coalesce model calls from all in-flight --batch queries "
-        "into shared slot-bounded waves (--batch-slots); results are "
+        help="pool model calls from all in-flight --batch queries "
+        "into one shared pool of --batch-slots slots; results are "
         "byte-identical, only wall-clock changes",
     )
     parser.add_argument(

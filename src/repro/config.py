@@ -185,7 +185,9 @@ class EngineConfig:
             wall-clock (and real elapsed time on latency-bound
             transports) changes.
         batch_slots: size of the continuous-batching request pool —
-            how many coalesced model calls one shared wave may carry.
+            how many raw model calls from all queries may be in flight
+            at once (each frees its slot when it lands), and how many
+            wire threads blocking transports get.
             Decoupled from ``max_in_flight`` (a per-query dispatch
             width) exactly as llama.cpp's ``n_parallel`` is decoupled
             from per-client concurrency.

@@ -389,7 +389,7 @@ QueryOutcome` objects are returned instead.
         validator = Validator(enabled=self._config.enable_validation)
         # Under continuous batching the shared slot pool is the
         # admission control: the FlightBudget semaphore would cap
-        # coalesced waves at max_in_flight, so it stays out of the
+        # pooled calls at max_in_flight, so it stays out of the
         # stack and the batcher's slots bound raw calls instead.
         batcher = self._session.batcher
         client = ModelClient(

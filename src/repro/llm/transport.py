@@ -53,7 +53,8 @@ import json
 import math
 import os
 import time
-from concurrent.futures import as_completed
+from concurrent.futures import Executor, as_completed
+from contextvars import ContextVar
 from dataclasses import replace
 from typing import (
     Callable,
@@ -75,6 +76,14 @@ from repro.llm.interface import (
 )
 from repro.llm.simulated import LatencyModel
 from repro.llm.tokenizer import count_tokens
+
+#: Executor the default :meth:`Transport.complete_async` runs blocking
+#: calls on; ``None`` means the running loop's default executor.  The
+#: continuous batcher sets its slot-sized pool here for each request it
+#: admits.
+wire_executor: ContextVar[Optional[Executor]] = ContextVar(
+    "wire_executor", default=None
+)
 
 #: Default OpenAI-style endpoint; overridable per transport or via env.
 OPENAI_DEFAULT_URL = "https://api.openai.com/v1"
@@ -147,7 +156,7 @@ class Transport:
 
     Subclasses implement :meth:`_complete` (and may override
     :meth:`complete_async` when they can do better than delegating the
-    blocking call to the event loop's executor — e.g. the simulated
+    blocking call to an executor thread — e.g. the simulated
     transport computes inline, a native-async backend would await its
     own client).  Everything returned to callers passes through
     :func:`ensure_latency`.
@@ -218,12 +227,16 @@ class Transport:
     ) -> Completion:
         """One completion without blocking the event loop.
 
-        The default delegates the (blocking) sync implementation to the
-        loop's default executor, which is exactly right for stdlib HTTP
-        backends: N co-batched requests overlap their socket waits.
+        The default runs the (blocking) sync implementation on the
+        executor in :data:`wire_executor`: for calls the continuous
+        batcher admits, its own pool of ``batch_slots`` threads.  Other
+        callers get the loop's default executor, whose ``min(32, cpu +
+        4)`` threads cap how many socket waits overlap.
         """
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.complete, prompt, options)
+        return await loop.run_in_executor(
+            wire_executor.get(), self.complete, prompt, options
+        )
 
     async def complete_many_async(
         self, requests: Sequence[BatchRequest]

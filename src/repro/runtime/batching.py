@@ -4,11 +4,14 @@ Per-query batching (the dispatcher's waves) amortizes overhead *within*
 one query; under concurrent serving every query still pays its own
 round trips.  The :class:`ContinuousBatcher` replaces that with the
 serving model of llama.cpp's ``examples/parallel``: a fixed pool of
-``slots`` and a drain task on the event-loop core that, each cycle,
-coalesces the retrieval prompts queued by *all* in-flight queries into
-one shared wave of at most ``slots`` requests, issues the wave through
-the transport's async surface, and re-forms the next wave from whatever
-queued up meanwhile — slots free up per wave, not per query.
+``slots`` shared by the retrieval prompts of *all* in-flight queries.
+A drain task on the event-loop core admits queued requests while fewer
+than ``slots`` are in flight; each admitted request runs as its own
+task and frees its slot the moment its own completion lands, so a freed
+slot is refilled from any query's queue without waiting for slower
+neighbours.  Blocking transport calls run on wire threads the batcher
+owns — one per slot — rather than on the loop's CPU-sized default
+executor.
 
 Invariants:
 
@@ -21,12 +24,11 @@ Invariants:
   any concurrency.
 * **Cancellation reclaims queued slots.**  A cancelled query's queued
   requests are failed with :class:`~repro.errors.QueryCancelled` at
-  wave formation — before occupying a slot — so co-batched queries
-  keep their full share of the pool and are never poisoned by a
-  neighbour's timeout.
-* **Per-request isolation.**  A wave is gathered with per-request
-  exception capture: one failing request fails one future, not the
-  wave.
+  admission — before occupying a slot — so co-batched queries keep
+  their full share of the pool and are never poisoned by a neighbour's
+  timeout.
+* **Per-request isolation.**  Every request resolves its own future:
+  one failing request fails one future, nothing else.
 
 :class:`BatchingGate` is the per-query adapter: it sits at the *bottom*
 of the model stack (below cache and meter), so only calls that will
@@ -36,14 +38,16 @@ the shared pool, and zero-cost replays never occupy a slot.
 
 from __future__ import annotations
 
+import asyncio
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence, Set
 
 from repro.errors import QueryCancelled, TransportError
 from repro.llm.cache import resolve_model_name
 from repro.llm.interface import BatchRequest, Completion, CompletionOptions
+from repro.llm.transport import wire_executor
 from repro.runtime.dispatcher import EventLoopCore, get_event_loop_core
 from repro.runtime.scheduler import CancellationToken
 
@@ -54,7 +58,12 @@ _TRACE_CAP = 10_000
 
 @dataclass
 class BatcherStats:
-    """Counters describing pool behavior (informational only)."""
+    """Counters describing pool behavior (informational only).
+
+    ``waves`` counts admission passes (each starts one or more queued
+    requests into free slots) and ``max_batch`` is the most requests
+    one pass started.
+    """
 
     submitted: int = 0
     completed: int = 0
@@ -84,14 +93,14 @@ class _Pending:
 
 @dataclass
 class ContinuousBatcher:
-    """Slot-based request pool coalescing prompts across queries.
+    """Slot-based request pool shared by the queries of a session.
 
     Thread-safe producers (:meth:`submit` from any dispatcher worker)
     feed a queue owned by the event-loop thread; a lazily-started drain
-    task forms waves of at most ``slots`` requests and issues each wave
-    through ``transport.complete_async`` concurrently.  Every queue and
-    trace mutation happens on the loop thread, so the only lock guards
-    startup.
+    task admits queued requests while fewer than ``slots`` are in
+    flight, each as its own task calling ``transport.complete_async``.
+    Every queue, slot and trace mutation happens on the loop thread, so
+    no lock is needed.
     """
 
     transport: object
@@ -106,9 +115,15 @@ class ContinuousBatcher:
             self.core = get_event_loop_core()
         self.wave_trace: List[dict] = []
         self._queue: Deque[_Pending] = deque()
-        self._wakeup = None  # asyncio.Event, created on the loop thread
-        self._task = None
+        self._in_flight: Set["asyncio.Task[None]"] = set()
+        self._wakeup: Optional[asyncio.Event] = None
+        self._task: Optional["asyncio.Task[None]"] = None
         self._closed = False
+        # Threads start on first use, so in-process transports (which
+        # complete inline on the loop) never spawn any.
+        self._wire = ThreadPoolExecutor(
+            max_workers=self.slots, thread_name_prefix="repro-wire"
+        )
 
     # -- producer side (any thread) ------------------------------------
 
@@ -147,26 +162,32 @@ class ContinuousBatcher:
         return self.submit(prompt, options, cancel=cancel).result()
 
     def close(self) -> None:
-        """Stop the drain task; queued requests fail, in-flight finish."""
+        """Stop admitting: queued requests fail, in-flight ones finish.
 
-        def shutdown() -> None:
+        Returns once the drain task and every admitted request are done
+        and the wire threads have exited.  Idempotent.
+        """
+
+        async def shutdown() -> None:
             self._closed = True
+            self._fail_queued(TransportError("continuous batcher is closed"))
             if self._wakeup is not None:
                 self._wakeup.set()
-            self._fail_queued(TransportError("continuous batcher is closed"))
+            tasks = [*self._in_flight, *([self._task] if self._task else [])]
+            if tasks:
+                await asyncio.wait(tasks)
 
         try:
-            self.core.call_soon(shutdown)
+            self.core.run(shutdown())
         except RuntimeError:
             # Core already closed: the drain task died with the loop;
             # nothing can still be queued through this batcher.
             self._closed = True
+        self._wire.shutdown(wait=True)
 
     # -- loop side -----------------------------------------------------
 
     def _ensure_drain_task(self) -> None:
-        import asyncio
-
         if self._wakeup is None:
             self._wakeup = asyncio.Event()
         if self._task is None or self._task.done():
@@ -174,31 +195,26 @@ class ContinuousBatcher:
 
     async def _drain(self) -> None:
         try:
-            while True:
+            while not self._closed:
                 await self._wakeup.wait()
                 self._wakeup.clear()
-                if self._closed:
-                    break
-                while self._queue:
-                    batch = self._form_wave()
-                    if batch:
-                        await self._run_wave(batch)
-                if self._closed:
-                    break
+                if not self._closed:
+                    self._admit()
         finally:
             self._fail_queued(
                 TransportError("continuous batcher drain task exited")
             )
 
-    def _form_wave(self) -> List[_Pending]:
-        """Pop up to ``slots`` live requests; reclaim dead ones.
+    def _admit(self) -> None:
+        """One admission pass: start queued requests into free slots.
 
         Requests whose cancellation token is already due are failed
         *here* — their slot goes to a co-batched neighbour instead of
         being burned on a doomed model call.
         """
-        batch: List[_Pending] = []
-        while self._queue and len(batch) < self.slots:
+        loop = asyncio.get_running_loop()
+        started = 0
+        while self._queue and len(self._in_flight) < self.slots:
             pending = self._queue.popleft()
             if pending.cancel is not None:
                 try:
@@ -210,19 +226,22 @@ class ContinuousBatcher:
                     continue
             if not pending.future.set_running_or_notify_cancel():
                 continue  # abandoned by its consumer
-            batch.append(pending)
-        return batch
+            task = loop.create_task(self._serve(pending))
+            self._in_flight.add(task)
+            task.add_done_callback(self._release)
+            started += 1
+        if started:
+            self._record_pass(started)
 
-    async def _run_wave(self, batch: List[_Pending]) -> None:
-        import asyncio
-
+    def _record_pass(self, started: int) -> None:
         self.stats.waves += 1
-        self.stats.max_batch = max(self.stats.max_batch, len(batch))
+        self.stats.max_batch = max(self.stats.max_batch, started)
         if len(self.wave_trace) < _TRACE_CAP:
             self.wave_trace.append(
                 {
                     "wave": self.stats.waves,
-                    "batch": len(batch),
+                    "batch": started,
+                    "in_flight": len(self._in_flight),
                     "queued": len(self._queue),
                     "slots": self.slots,
                 }
@@ -231,26 +250,34 @@ class ContinuousBatcher:
             from repro.obs import metrics as obs_metrics
 
             self.registry.counter(obs_metrics.BATCH_WAVES_TOTAL).inc()
-            self.registry.counter(obs_metrics.BATCH_REQUESTS_TOTAL).inc(
-                len(batch)
-            )
+            self.registry.counter(obs_metrics.BATCH_REQUESTS_TOTAL).inc(started)
             self.registry.histogram(obs_metrics.BATCH_OCCUPANCY).observe(
-                len(batch)
+                len(self._in_flight)
             )
-        results = await asyncio.gather(
-            *(
-                self.transport.complete_async(pending.prompt, pending.options)
-                for pending in batch
-            ),
-            return_exceptions=True,
-        )
-        for pending, result in zip(batch, results):
-            if isinstance(result, BaseException):
-                self.stats.failed += 1
-                pending.future.set_exception(result)
-            else:
-                self.stats.completed += 1
-                pending.future.set_result(result)
+
+    async def _serve(self, pending: _Pending) -> None:
+        """Run one admitted request and resolve its future."""
+        # Tasks run in a copy of the context, so this scopes the wire
+        # pool to this request's transport call only.
+        wire_executor.set(self._wire)
+        try:
+            result = await self.transport.complete_async(
+                pending.prompt, pending.options
+            )
+        except BaseException as exc:
+            self.stats.failed += 1
+            pending.future.set_exception(exc)
+            if not isinstance(exc, Exception):
+                raise  # cancellation or interrupt: resolved, then passed on
+        else:
+            self.stats.completed += 1
+            pending.future.set_result(result)
+
+    def _release(self, task: "asyncio.Task[None]") -> None:
+        """Free a finished request's slot; wake the drain if work waits."""
+        self._in_flight.discard(task)
+        if self._queue and not self._closed:
+            self._wakeup.set()
 
     def _fail_queued(self, error: Exception) -> None:
         while self._queue:
@@ -265,8 +292,7 @@ class BatchingGate:
     Implements the :class:`~repro.llm.interface.LanguageModel` surface
     so it can stand in for the raw model at the bottom of the
     cache/meter stack; carries the query's cancellation token so a
-    cancelled query's queued requests are reclaimable at wave
-    formation.
+    cancelled query's queued requests are reclaimable at admission.
     """
 
     def __init__(
@@ -308,12 +334,10 @@ class BatchingGate:
     ) -> Completion:
         """Async surface: await the pooled future without blocking.
 
-        The drain task that resolves batcher futures runs on the
-        event-loop core, so a coroutine on that same loop must await —
-        the blocking :meth:`complete` there would deadlock the pool.
+        The tasks that resolve batcher futures run on the event-loop
+        core, so a coroutine on that same loop must await — the
+        blocking :meth:`complete` there would deadlock the pool.
         """
-        import asyncio
-
         return await asyncio.wrap_future(
             self._batcher.submit(prompt, options, cancel=self._cancel)
         )

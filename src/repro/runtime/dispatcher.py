@@ -412,9 +412,9 @@ class Dispatcher:
 
         Speculations run natively on the event-loop core: the guessed
         page is a coroutine awaiting the model's async surface, not a
-        pool thread blocking in the executor shim — so it coalesces
-        with transport batches and the continuous batcher's waves on
-        the one loop that owns wire I/O.
+        pool thread blocking in the executor shim — so it shares the
+        continuous batcher's slots (or waits for a flight slot) on the
+        one loop that owns wire I/O, holding no thread while it waits.
         """
         options = self._options_for(0)
         with self._lock:
@@ -619,14 +619,10 @@ class Dispatcher:
             self._async_target = target
         if self._flight_budget is None:
             return await target.complete_async(prompt, options), False
-        slot = self._flight_budget.slot(self._cancel)
-        # Slot acquisition can block on the session-wide semaphore;
-        # park the wait on a worker thread so the loop stays live.
-        await asyncio.get_running_loop().run_in_executor(None, slot.__enter__)
-        try:
+        # Wait on the loop, not on an executor thread: slot holders
+        # need those threads for their blocking transport calls.
+        async with self._flight_budget.slot_async(self._cancel):
             return await target.complete_async(prompt, options), False
-        finally:
-            slot.__exit__(None, None, None)
 
     def _emit_flight_spans(
         self,

@@ -40,14 +40,19 @@ double-count overlapped time.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
-from contextlib import contextmanager
+from collections import deque
+from contextlib import asynccontextmanager, contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Sequence
 
 from repro.errors import QueryCancelled
 from repro.runtime.latency import greedy_makespan
+
+#: How often a slot waiter re-checks its cancellation token (seconds).
+_POLL_S = 0.02
 
 
 class CancellationToken:
@@ -91,6 +96,16 @@ class CancellationToken:
             )
 
 
+class _Waiter:
+    """One blocked acquirer; ``wake`` runs once a slot is handed to it."""
+
+    __slots__ = ("granted", "wake")
+
+    def __init__(self, wake: Callable[[], None]):
+        self.granted = False
+        self.wake = wake
+
+
 class FlightBudget:
     """The session-global cap on concurrently open model calls.
 
@@ -100,11 +115,19 @@ class FlightBudget:
     ``max_in_flight`` slots on its own — exactly the pre-serving
     behavior — and concurrent queries *share* those slots instead of
     multiplying them.
+
+    A released slot is handed to the longest waiter, blocked thread
+    (:meth:`slot`) or coroutine (:meth:`slot_async`) alike.  A
+    coroutine waits on its event loop and holds no thread meanwhile, so
+    waiting for a slot never takes an executor thread away from the
+    slot holders, whose blocking transport calls need one.
     """
 
     def __init__(self, max_in_flight: int):
         self.max_in_flight = max(1, int(max_in_flight))
-        self._permits = threading.Semaphore(self.max_in_flight)
+        self._lock = threading.Lock()
+        self._free = self.max_in_flight
+        self._waiters: Deque[_Waiter] = deque()
         # Occupancy tracking exists only once a registry is attached;
         # the untraced path never touches the gauge lock.
         self._registry = None
@@ -127,22 +150,102 @@ class FlightBudget:
         registry.gauge(obs_metrics.INFLIGHT_CURRENT).set(active)
         registry.gauge(obs_metrics.INFLIGHT_PEAK).max_update(active)
 
+    def _take_or_queue(self, wake: Callable[[], None]) -> Optional[_Waiter]:
+        """Take a free slot (returns ``None``) or queue a waiter.
+
+        A queued waiter's ``wake`` runs once a release hands it a slot.
+        """
+        with self._lock:
+            if self._free and not self._waiters:
+                self._free -= 1
+                return None
+            waiter = _Waiter(wake)
+            self._waiters.append(waiter)
+            return waiter
+
+    def _release(self) -> None:
+        with self._lock:
+            if not self._waiters:
+                self._free += 1
+                return
+            waiter = self._waiters.popleft()
+            waiter.granted = True
+        waiter.wake()
+
+    def _abandon(self, waiter: _Waiter) -> None:
+        """Withdraw a waiter; a slot granted to it meanwhile moves on."""
+        with self._lock:
+            if not waiter.granted:
+                self._waiters.remove(waiter)
+                return
+        self._release()
+
+    def _acquire(self, cancel: Optional[CancellationToken]) -> None:
+        if cancel is not None:
+            cancel.check()
+        woken = threading.Event()
+        waiter = self._take_or_queue(woken.set)
+        if waiter is None:
+            return
+        try:
+            while not woken.wait(None if cancel is None else _POLL_S):
+                cancel.check()
+        except BaseException:
+            self._abandon(waiter)
+            raise
+
+    async def _acquire_async(self, cancel: Optional[CancellationToken]) -> None:
+        if cancel is not None:
+            cancel.check()
+        loop = asyncio.get_running_loop()
+        woken = loop.create_future()
+
+        def wake() -> None:
+            try:
+                loop.call_soon_threadsafe(_resolve, woken)
+            except RuntimeError:
+                self._release()  # loop closed: its waiter can never run
+
+        waiter = self._take_or_queue(wake)
+        if waiter is None:
+            return
+        try:
+            while not woken.done():
+                await asyncio.wait(
+                    {woken}, timeout=None if cancel is None else _POLL_S
+                )
+                if not woken.done():
+                    cancel.check()
+        except BaseException:
+            self._abandon(waiter)
+            raise
+
     @contextmanager
     def slot(self, cancel: Optional[CancellationToken] = None):
         """Hold one in-flight slot; polls the token while waiting."""
-        if cancel is None:
-            self._permits.acquire()
-        else:
-            while True:
-                cancel.check()
-                if self._permits.acquire(timeout=0.02):
-                    break
+        self._acquire(cancel)
         self._occupy(1)
         try:
             yield
         finally:
             self._occupy(-1)
-            self._permits.release()
+            self._release()
+
+    @asynccontextmanager
+    async def slot_async(self, cancel: Optional[CancellationToken] = None):
+        """:meth:`slot` for a coroutine: waits on its loop, not a thread."""
+        await self._acquire_async(cancel)
+        self._occupy(1)
+        try:
+            yield
+        finally:
+            self._occupy(-1)
+            self._release()
+
+
+def _resolve(future: "asyncio.Future[None]") -> None:
+    if not future.done():
+        future.set_result(None)
 
 
 class CrossQueryDedup:

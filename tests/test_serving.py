@@ -9,11 +9,15 @@ threads sharing one session — return results byte-identical to serial
 execution across storage modes, shard counts, and streaming.
 """
 
+import asyncio
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.runtime.dispatcher as dispatcher_module
 from repro.config import EngineConfig
 from repro.core.operators import ModelClient
 from repro.core.validation import Validator
@@ -23,7 +27,13 @@ from repro.llm.cache import PromptCache
 from repro.llm.interface import CompletionOptions
 from repro.llm.noise import NoiseConfig
 from repro.llm.simulated import SimulatedLLM
-from repro.runtime.dispatcher import CompletionRequest, Dispatcher
+from repro.llm.transport import LlamaCppTransport, SimulatedTransport
+from repro.runtime.batching import ContinuousBatcher
+from repro.runtime.dispatcher import (
+    CompletionRequest,
+    Dispatcher,
+    get_event_loop_core,
+)
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.scheduler import (
     CancellationToken,
@@ -92,6 +102,26 @@ class SleepingModel:
                 self.open_calls -= 1
 
 
+def blocking_transport(model):
+    """The shipped llama.cpp transport, offline: every call blocks in
+    ``model.complete`` on an executor thread, as an HTTP call would."""
+    return LlamaCppTransport(fallback_model=model, offline=True)
+
+
+@pytest.fixture
+def narrow_default_executor(monkeypatch):
+    """Swap in a shared event-loop core whose default executor has two
+    workers, so thread starvation shows the same on every host
+    whatever its CPU count."""
+    core = dispatcher_module.EventLoopCore()
+    executor = ThreadPoolExecutor(max_workers=2, thread_name_prefix="narrow")
+    core.loop.set_default_executor(executor)
+    monkeypatch.setattr(dispatcher_module, "_shared_core", core)
+    yield core
+    core.close()
+    executor.shutdown(wait=True)
+
+
 # ---------------------------------------------------------------------------
 # Scheduler primitives
 # ---------------------------------------------------------------------------
@@ -130,6 +160,108 @@ def test_flight_budget_acquire_aborts_on_cancellation():
         with pytest.raises(QueryCancelled):
             with budget.slot(token):
                 pass
+
+
+def test_flight_budget_async_wait_aborts_on_cancellation():
+    budget = FlightBudget(1)
+    token = CancellationToken()
+
+    async def wait_for_slot(cancel):
+        async with budget.slot_async(cancel):
+            pass
+
+    core = get_event_loop_core()
+    with budget.slot():  # hold the only permit
+        waiting = core.submit(wait_for_slot(token))
+        time.sleep(0.05)
+        assert not waiting.done()
+        token.cancel("caller gave up")
+        with pytest.raises(QueryCancelled, match="caller gave up"):
+            waiting.result(timeout=5)
+    core.run(wait_for_slot(None), timeout=5)  # the permit came back
+
+
+def test_flight_budget_caps_threads_and_coroutines_together():
+    """Threads and loop coroutines contending for 3 slots never hold
+    more than 3 at once, and every slot comes back."""
+    budget = FlightBudget(3)
+    lock = threading.Lock()
+    holders = {"now": 0, "peak": 0}
+
+    def enter():
+        with lock:
+            holders["now"] += 1
+            holders["peak"] = max(holders["peak"], holders["now"])
+
+    def leave():
+        with lock:
+            holders["now"] -= 1
+
+    def thread_worker():
+        for _ in range(200):
+            with budget.slot():
+                enter()
+                time.sleep(0)
+                leave()
+
+    async def coroutine_worker():
+        for _ in range(200):
+            async with budget.slot_async(CancellationToken()):
+                enter()
+                await asyncio.sleep(0)
+                leave()
+
+    core = get_event_loop_core()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=thread_worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        coroutines = [core.submit(coroutine_worker()) for _ in range(8)]
+        for future in coroutines:
+            future.result(timeout=60)
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert holders == {"now": 0, "peak": 3}
+    assert budget._free == 3 and not budget._waiters
+
+
+#: Sixteen overlapping multi-page scans for the blocking-wire stall test.
+STALL_WORKLOAD = [
+    sql
+    for continent in ("Europe", "Asia", "Africa", "South America")
+    for sql in (
+        f"SELECT name, population FROM countries WHERE continent = '{continent}'",
+        f"SELECT city FROM cities WHERE city_pop > {len(continent) * 100}",
+        f"SELECT COUNT(*) FROM countries WHERE continent <> '{continent}'",
+        f"SELECT city, country FROM cities WHERE country <> '{continent}'",
+    )
+]
+
+
+def test_slot_waits_never_starve_blocking_transports(
+    mini_world, narrow_default_executor
+):
+    """Speculative page fetches wait for a flight slot on the loop.
+
+    Parked on the loop's default executor instead, those waits took
+    the threads the slot holders need for their blocking transport
+    calls, and overlapping queries stalled until they timed out.
+    """
+    config = EngineConfig().with_(max_in_flight=8, page_size=2)
+    raw = SimulatedLLM(mini_world, NoiseConfig.perfect(), seed=5)
+    expected, _ = serial_reference(mini_world, config, STALL_WORKLOAD)
+    transport = blocking_transport(SleepingModel(raw, sleep_s=0.03))
+    engine = make_engine(transport, mini_world, config)
+    outcomes = engine.execute_many(
+        STALL_WORKLOAD, jobs=8, timeout_s=5.0, collect_outcomes=True
+    )
+    assert [outcome.status for outcome in outcomes] == ["ok"] * 16
+    assert [typed_rows(outcome.result) for outcome in outcomes] == expected
 
 
 def test_cross_query_dedup_lease_and_release():
@@ -777,32 +909,85 @@ def test_serving_slots_prices_the_batch_pool(mini_world):
     assert plain._session.batcher is None
 
 
-def test_batcher_coalesces_calls_across_queries(mini_world):
-    """Overlapping queries land in shared waves, not one-by-one."""
-    import asyncio
+class PacedTransport(SimulatedTransport):
+    """Async-native transport: each call sleeps ``delays[prompt]`` s.
 
-    from repro.llm.transport import SimulatedTransport
-    from repro.runtime.batching import ContinuousBatcher
+    Records the most calls open at once and the order calls finish
+    (all on the loop thread, so no lock is needed).
+    """
 
-    model = SimulatedLLM(mini_world, NoiseConfig.perfect(), seed=5)
+    def __init__(self, model, delays):
+        super().__init__(model)
+        self.delays = delays
+        self.open_calls = 0
+        self.max_open_calls = 0
+        self.finished = []
 
-    class SlowWaveTransport(SimulatedTransport):
-        async def complete_async(self, prompt, options=CompletionOptions()):
-            await asyncio.sleep(0.05)
+    async def complete_async(self, prompt, options=CompletionOptions()):
+        self.open_calls += 1
+        self.max_open_calls = max(self.max_open_calls, self.open_calls)
+        try:
+            await asyncio.sleep(self.delays[prompt])
             return self.complete(prompt, options)
+        finally:
+            self.open_calls -= 1
+            self.finished.append(prompt)
 
-    batcher = ContinuousBatcher(SlowWaveTransport(model), slots=8)
+
+def test_batcher_frees_each_slot_when_its_request_lands(mini_world):
+    """A fast request admitted beside a slow one completes first."""
+    model = SimulatedLLM(mini_world, NoiseConfig.perfect(), seed=5)
+    transport = PacedTransport(model, {"slow prompt": 0.5, "fast prompt": 0.01})
+    batcher = ContinuousBatcher(transport, slots=2)
     try:
-        opts = CompletionOptions()
-        first = batcher.submit("warm-up prompt", opts)
-        time.sleep(0.01)  # wave 1 in flight; the rest queue behind it
-        rest = [batcher.submit(f"probe prompt {i}", opts) for i in range(4)]
-        for future in [first, *rest]:
+        slow = batcher.submit("slow prompt")
+        time.sleep(0.05)  # the slow request holds one slot
+        fast = batcher.submit("fast prompt")
+        fast.result(timeout=10)
+        assert not slow.done()
+        slow.result(timeout=10)
+        assert transport.finished == ["fast prompt", "slow prompt"]
+    finally:
+        batcher.close()
+
+
+def test_batcher_refills_freed_slots_without_exceeding_them(mini_world):
+    """Six requests over 3 slots: never more than 3 open calls, and the
+    short ones cycle through the two slots the long one leaves free."""
+    model = SimulatedLLM(mini_world, NoiseConfig.perfect(), seed=5)
+    delays = {"long prompt": 0.5}
+    delays.update({f"short prompt {i}": 0.05 for i in range(5)})
+    transport = PacedTransport(model, delays)
+    batcher = ContinuousBatcher(transport, slots=3)
+    try:
+        futures = [batcher.submit(prompt) for prompt in delays]
+        for future in futures:
             future.result(timeout=10)
-        assert batcher.stats.completed == 5
-        assert batcher.stats.max_batch >= 2
-        assert batcher.stats.waves < 5
-        assert batcher.wave_trace[0]["slots"] == 8
+        assert transport.max_open_calls == 3
+        assert transport.finished[-1] == "long prompt"
+        assert batcher.stats.completed == 6
+    finally:
+        batcher.close()
+
+
+def test_blocking_transport_fills_every_slot(mini_world, narrow_default_executor):
+    """Wire threads come from the batcher's slot-sized pool: 8 blocking
+    calls run at once although the loop's default executor has 2."""
+    model = SimulatedLLM(mini_world, NoiseConfig.perfect(), seed=5)
+    rendezvous = threading.Barrier(8, timeout=5)
+
+    class RendezvousModel(SleepingModel):
+        def complete(self, prompt, options=CompletionOptions()):
+            rendezvous.wait()  # breaks unless 8 calls are open at once
+            return super().complete(prompt, options)
+
+    transport = blocking_transport(RendezvousModel(model))
+    batcher = ContinuousBatcher(transport, slots=8)
+    try:
+        prompts = [f"probe prompt {i}" for i in range(8)]
+        futures = [batcher.submit(prompt) for prompt in prompts]
+        results = [future.result(timeout=10) for future in futures]
+        assert results == [model.complete(prompt) for prompt in prompts]
     finally:
         batcher.close()
 

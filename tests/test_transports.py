@@ -15,6 +15,7 @@ un-awaited coroutine anywhere in the transport stack is a failure.
 
 import asyncio
 import math
+import threading
 
 import pytest
 
@@ -212,6 +213,38 @@ def test_offline_usage_matches_in_process_usage(perfect_model, mini_world):
     assert b.transport == "openai (offline)"
     assert "transport: openai (offline)" in b.render()
     assert "transport:" not in a.render()
+
+
+def test_engine_close_leaves_no_batcher_thread_or_task(perfect_model, mini_world):
+    """A closed engine leaves nothing running: the continuous batcher's
+    wire threads have exited and its drain task is done."""
+    before = set(threading.enumerate())
+
+    def wire_threads():
+        return [
+            thread
+            for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("repro-wire")
+        ]
+
+    engine = make_engine(
+        build_offline("llamacpp", perfect_model),
+        mini_world,
+        EngineConfig().with_(enable_continuous_batching=True, batch_slots=4),
+    )
+    engine.execute_many(
+        [
+            "SELECT name FROM countries WHERE continent = 'Europe'",
+            "SELECT COUNT(*) FROM cities",
+            "SELECT population FROM countries WHERE name = 'Japan'",
+        ],
+        jobs=3,
+    )
+    batcher = engine._session.batcher
+    assert wire_threads()  # the blocking calls ran on the batcher's pool
+    engine.close()
+    assert wire_threads() == []
+    assert batcher._task.done()
 
 
 # ---------------------------------------------------------------------
